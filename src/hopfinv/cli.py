@@ -141,9 +141,8 @@ def _grid_rows(order: int, pmax: int, budget: int, timings: bool) -> list[GridRo
 @click.option("--budget", type=int, default=DEFAULT_TERM_BUDGET, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--out", type=click.Path(writable=True), default=None)
-@click.option("--workers", type=int, default=1, show_default=True, help="reserved; grid rows are computed in deterministic order")
 @click.option("--timings/--no-timings", default=False, help="include wall-clock runtime_ms (breaks byte determinism)")
-def cmd_verify_theorem(order, pmax, budget, fmt, out, workers, timings) -> None:
+def cmd_verify_theorem(order, pmax, budget, fmt, out, timings) -> None:
     """Check Z_Kup(L(p,q)) = Z_Henn(L(p,q) # conj L(p,q)) on the full coprime grid."""
     if order % 2 == 0 or order < 3:
         click.echo(f"error: l must be odd and >= 3, got {order}", err=True)

@@ -1,38 +1,32 @@
 """Hennings invariant: Kauffman-Radford link evaluation and lens-space forms.
 
-Two independent routes to Z_Henn(L(p,q) # conj L(p,q)) live here:
+Two independent routes to Z_Henn(L(p,q) # conj L(p,q)) live here, each a
+schedule of its own on the shared `SparseState` of `hopfinv.contraction`:
 
 * `z_henn_lens_closed` evaluates the label-pushed closed form
   lambda( S^(e_p)(Lambda_(N_p)) ... S^(e_1)(Lambda_(N_1)) G^(p-q+1) ),
   by fully expanding Delta^(p-1)(Lambda) and folding the legs in descending
-  order -- deliberately a different contraction strategy and multiplication
-  order than the Kuperberg evaluator, so the main-theorem equality is a
-  nontrivial cross-check.
+  order -- deliberately a different expansion strategy, multiplication
+  order and exponent pattern than the Kuperberg evaluator, so the
+  main-theorem equality is a nontrivial cross-check.
 
 * `kr_evaluate` computes the regular-isotopy invariant TR(L, H) of a framed
   link in Morse form: each crossing is decorated with R-matrix legs, each
   component contributes the trace of its cyclic word of decorations
-  interleaved with grouplike insertions at extrema, and the whole link is
-  contracted as one sparse tensor network.  `z_henn` applies the surgery
-  normalization of the trace, and `chain_mail` generates the two-component
-  surgery presentation of L(p,q) # conj L(p,q) from the Heegaard diagram.
+  interleaved with grouplike insertions at extrema, and the components are
+  advanced greedily so that a crossing's two legs are consumed close
+  together.  `z_henn` applies the surgery normalization of the trace, and
+  `chain_mail` generates the two-component surgery presentation of
+  L(p,q) # conj L(p,q) from the Heegaard diagram.
 """
 
 from __future__ import annotations
 
-from hopfinv.hopf import (
-    Element,
-    RibbonHopfData,
-    antipode_power,
-    _acc,
-)
-from hopfinv.kuperberg import (
-    BudgetExceededError,
-    DEFAULT_TERM_BUDGET,
-    LensIndexData,
-    lens_indices,
-    normalize_lens_params,
-)
+from functools import lru_cache
+
+from hopfinv.contraction import DEFAULT_TERM_BUDGET, SparseState
+from hopfinv.hopf import RibbonHopfData, antipode_power
+from hopfinv.kuperberg import LensIndexData, lens_indices, normalize_lens_params
 from hopfinv.scalars import Cyc
 
 
@@ -52,73 +46,31 @@ def z_henn_lens_closed(
 ) -> Cyc:
     """Z_Henn(L(p,q) # conj L(p,q)) from the pre-simplification closed form.
 
-    Expands Delta^(p-1)(Lambda) fully, relabels leg positions through the
-    lens permutation N, multiplies S^(e_n)(Lambda_(N_n)) for n = p down to 1,
-    right-multiplies G^(p-q+1) and applies lambda.
+    Expands Delta^(p-1)(Lambda) fully into columns labelled by leg position,
+    multiplies S^(e_n)(Lambda_(N_n)) for n = p down to 1 into the running
+    product, right-multiplies G^(p-q+1) and applies lambda.
     """
     p, q = normalize_lens_params(p, q)
     A = H.structure
     if p == 1:
-        return Cyc.one(A.l)  # S^3
+        return A.one  # S^3
     idx = lens_indices(p, q)
 
-    # full Sweedler expansion of the cointegral
-    state: dict[tuple[int, ...], Cyc] = {
-        (b,): c for b, c in H.Lam.terms.items()
-    }
-    for _ in range(p - 1):
-        nxt: dict[tuple[int, ...], Cyc] = {}
-        for key, c in state.items():
-            for (a, b), cc in A.coprod_basis(key[-1]).items():
-                _acc(nxt, key[:-1] + (a, b), c * cc)
-        state = nxt
-        if len(state) > budget:
-            raise BudgetExceededError(f"state reached {len(state)} terms (budget {budget})")
+    # column n holds legs n..p of the cointegral until it is split off
+    state = SparseState(A, budget)
+    state.add_column("run", A.unit)
+    state.add_column(1, H.Lam.terms)
+    for n in range(1, p):
+        state.expand(n, (n, n + 1))
 
     tail = H.G_power(p - q + 1)
     lam_tail = tuple(H.lam(A.basis_element(i) * tail) for i in range(A.dim))
-
-    spow_cache: dict[tuple[int, int], Element] = {}
-
-    def s_pow(e: int, b: int) -> Element:
-        key = (e, b)
-        hit = spow_cache.get(key)
-        if hit is None:
-            hit = antipode_power(A.basis_element(b), e)
-            spow_cache[key] = hit
-        return hit
-
-    # fold legs in descending n; key layout: (run, leg_1, ..., leg_p) with
-    # consumed legs removed from the right-hand portion as we go.
-    folded: dict[tuple[int, ...], Cyc] = {}
-    for u, cu in A.unit.items():
-        for key, c in state.items():
-            folded[(u,) + key] = cu * c
-    remaining = list(range(1, p + 1))  # positions, key column = 1 + index
+    s_pow = lru_cache(maxsize=None)(lambda e, b: antipode_power(A.basis_element(b), e).terms)
     for n in range(p, 0, -1):
-        pos = idx.N[n - 1]
-        col = 1 + remaining.index(pos)
         e = hennings_closed_exponent(idx, n)
-        nxt = {}
-        for key, c in folded.items():
-            img = s_pow(e, key[col])
-            rest = key[1:col] + key[col + 1 :]
-            run = key[0]
-            for b2, c2 in img.terms.items():
-                cc = c * c2
-                for b3, c3 in A.mult_basis(run, b2).items():
-                    _acc(nxt, (b3,) + rest, cc * c3)
-        folded = nxt
-        remaining.remove(pos)
-        if len(folded) > budget:
-            raise BudgetExceededError(f"state reached {len(folded)} terms (budget {budget})")
-
-    acc = A.zero
-    for (run,), c in folded.items():
-        w = lam_tail[run]
-        if not w.is_zero():
-            acc = acc + c * w
-    return acc
+        state.absorb("run", idx.N[n - 1], lambda b: s_pow(e, b))
+    state.contract("run", lam_tail)
+    return state.value()
 
 
 # -- Kauffman-Radford evaluation of Morse links ----------------------------------
@@ -226,7 +178,7 @@ def kr_evaluate(
     Gm1 = H.G_power(-1)
     lam_G = tuple(H.lam(A.basis_element(i) * G1) for i in range(A.dim))
 
-    total = Cyc.one(A.l)
+    total = A.one
     active = []
     for c, toks in enumerate(tokens_by_comp):
         if any(t[0] == "x" for t in toks):
@@ -239,12 +191,10 @@ def kr_evaluate(
     if not active:
         return total
 
-    # sparse scheduler state: key = tuple aligned with `slots`
-    slots: list[tuple[str, int]] = []  # ("c", comp) running product | ("x", crossing) term id
-    state: dict[tuple[int, ...], Cyc] = {(): Cyc.one(A.l)}
+    # columns: ("c", comp) holds a component's running product, ("x", crossing)
+    # the R-matrix term chosen at a crossing whose other leg is still pending
+    state = SparseState(A, budget)
     ptr = {c: 0 for c in active}
-    open_x: dict[int, int] = {}
-    comp_slot: dict[int, int] = {}
 
     def next_xtoken(c: int):
         toks = tokens_by_comp[c]
@@ -269,133 +219,48 @@ def kr_evaluate(
             d += 1
         return 1 << 30
 
-    def open_component(c: int) -> None:
-        nonlocal state, slots
-        comp_slot[c] = len(slots)
-        slots.append(("c", c))
-        nxt: dict[tuple[int, ...], Cyc] = {}
-        for key, v in state.items():
-            for u, cu in A.unit.items():
-                _acc(nxt, key + (u,), v * cu)
-        state = nxt
-
-    def close_component(c: int) -> None:
-        nonlocal state, slots
-        si = comp_slot.pop(c)
-        nxt: dict[tuple[int, ...], Cyc] = {}
-        for key, v in state.items():
-            w = lam_G[key[si]]
-            if w.is_zero():
-                continue
-            _acc(nxt, key[:si] + key[si + 1 :], v * w)
-        state = nxt
-        del slots[si]
-        for k in list(comp_slot):
-            if comp_slot[k] > si:
-                comp_slot[k] -= 1
-        for k in list(open_x):
-            if open_x[k] > si:
-                open_x[k] -= 1
-
-    def run_multiply(c: int, elem) -> None:
-        nonlocal state
-        csl = comp_slot[c]
-        nxt: dict[tuple[int, ...], Cyc] = {}
-        for key, v in state.items():
-            run = key[csl]
-            for b2, c2 in elem.terms.items():
-                vv = v * c2
-                for b3, c3 in A.mult_basis(run, b2).items():
-                    _acc(nxt, key[:csl] + (b3,) + key[csl + 1 :], vv * c3)
-        state = nxt
-
     def drain_g(c: int) -> None:
         toks = tokens_by_comp[c]
         while ptr[c] < len(toks) and toks[ptr[c]][0] == "g":
-            run_multiply(c, G1 if toks[ptr[c]][1] > 0 else Gm1)
+            state.multiply(("c", c), (G1 if toks[ptr[c]][1] > 0 else Gm1).terms)
             ptr[c] += 1
 
     def consume_x(c: int) -> None:
-        nonlocal state, slots
-        tok = tokens_by_comp[c][ptr[c]]
+        if ("c", c) not in state.labels:
+            state.add_column(("c", c), A.unit)
+        drain_g(c)
+        _, cid, slot = tokens_by_comp[c][ptr[c]]
         ptr[c] += 1
-        _, cid, slot = tok
-        terms = xterms[cid]
-        csl = comp_slot[c]
-        if cid in open_x:
-            xsl = open_x.pop(cid)
-            nxt: dict[tuple[int, ...], Cyc] = {}
-            for key, v in state.items():
-                t = terms[key[xsl]]
-                leg = t[0] if slot == "o" else t[1]
-                run = key[csl]
-                rest = key[:xsl] + key[xsl + 1 :]
-                ci = csl if csl < xsl else csl - 1
-                for b3, c3 in A.mult_basis(run, leg).items():
-                    _acc(nxt, rest[:ci] + (b3,) + rest[ci + 1 :], v * c3)
-            state = nxt
-            del slots[xsl]
-            for k in list(comp_slot):
-                if comp_slot[k] > xsl:
-                    comp_slot[k] -= 1
-            for k in list(open_x):
-                if open_x[k] > xsl:
-                    open_x[k] -= 1
+        legs = [(bo if slot == "o" else bu, cc) for bo, bu, cc in xterms[cid]]
+        if ("x", cid) in state.labels:
+            state.absorb(("c", c), ("x", cid), lambda t: {legs[t][0]: A.one})
         else:
-            open_x[cid] = len(slots)
-            slots.append(("x", cid))
-            nxt = {}
-            for key, v in state.items():
-                run = key[csl]
-                for tid, (bo, bu, cc) in enumerate(terms):
-                    leg = bo if slot == "o" else bu
-                    vv = v * cc
-                    for b3, c3 in A.mult_basis(run, leg).items():
-                        key2 = key[:csl] + (b3,) + key[csl + 1 :] + (tid,)
-                        _acc(nxt, key2, vv * c3)
-            state = nxt
-        if len(state) > budget:
-            raise BudgetExceededError(f"state reached {len(state)} terms (budget {budget})")
+            state.branch(("c", c), ("x", cid), legs)
 
     remaining = set(active)
     while remaining:
         done = [c for c in remaining if ptr[c] >= len(tokens_by_comp[c])]
-        progressed = False
         for c in done:
-            if c in comp_slot:
-                close_component(c)
+            if ("c", c) in state.labels:
+                state.contract(("c", c), lam_G)
             remaining.discard(c)
-            progressed = True
-        if progressed:
+        if done:
             continue
         # drain free grouplike tokens on open components
         drained = False
         for c in sorted(remaining):
-            if c in comp_slot and ptr[c] < len(tokens_by_comp[c]) and tokens_by_comp[c][ptr[c]][0] == "g":
+            if ("c", c) in state.labels and tokens_by_comp[c][ptr[c]][0] == "g":
                 drain_g(c)
                 drained = True
         if drained:
             continue
-        closers = [
-            c
-            for c in sorted(remaining)
-            if next_xtoken(c) is not None and next_xtoken(c)[1] in open_x
-        ]
+        closers = [c for c in sorted(remaining) if ("x", next_xtoken(c)[1]) in state.labels]
         if closers:
-            c = closers[0]
-            if c not in comp_slot:
-                open_component(c)
-            drain_g(c)
-            consume_x(c)
-            continue
-        best = min(sorted(remaining), key=lambda c: (partner_distance(c), c))
-        if best not in comp_slot:
-            open_component(best)
-        drain_g(best)
-        consume_x(best)
+            consume_x(closers[0])
+        else:
+            consume_x(min(sorted(remaining), key=lambda c: (partner_distance(c), c)))
 
-    assert not slots, "scheduler finished with live slots"
-    return total * state.get((), Cyc.zero(A.l))
+    return total * state.value()
 
 
 class ValueOutsideFieldError(ArithmeticError):

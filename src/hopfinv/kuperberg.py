@@ -8,36 +8,29 @@ evaluator contracts
 
     Z = lambda( prod_t S^(e_t)(Lambda_(legs_t)) g^m )
 
-over the Sweedler legs of Delta^(p-1)(Lambda), expanding coproduct legs only
-when the multiplication order reaches them (interleaved expand-and-multiply)
-so that the sparse state stays near the size of the answer.
+over the Sweedler legs of Delta^(p-1)(Lambda) as a schedule on the shared
+`SparseState`: the factors are multiplied in ascending t = 1..p, and a
+coproduct leg is expanded only when that order reaches it (interleaved
+expand-and-multiply), so that the state stays near the size of the answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from hopfinv.hopf import (
-    Element,
-    HopfAlgebra,
-    RibbonHopfData,
-    antipode_power,
-    _acc,
-    _prune,
+from hopfinv.contraction import (  # noqa: F401  (BudgetExceededError is re-exported)
+    BudgetExceededError,
+    DEFAULT_TERM_BUDGET,
+    SparseState,
 )
+from hopfinv.hopf import RibbonHopfData, antipode_power
 from hopfinv.scalars import Cyc
 
 
 class LensInputError(ValueError):
     """Raised for (p, q) that do not describe a lens space in this setup."""
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a sparse contraction grows past the configured term cap."""
-
-
-DEFAULT_TERM_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -162,8 +155,9 @@ def kuperberg_eval(
     """Contract lambda( prod_t S^(e_t)(Lambda_(legs[t])) g^m ) exactly.
 
     The Sweedler legs of Delta^(p-1)(Lambda) are materialized lazily: the
-    state holds contiguous unexpanded leg ranges and splits one only when the
-    multiplication order consumes a position inside it.
+    state holds columns labelled by contiguous unexpanded leg ranges (lo, hi)
+    and splits one only when the multiplication order consumes a position
+    inside it.
     """
     A = H.structure
     p = len(data.legs)
@@ -171,72 +165,20 @@ def kuperberg_eval(
         raise ValueError("legs must enumerate positions 1..p exactly once")
     tail = H.g_power(data.g_power)
     lam_tail = tuple(H.lam(A.basis_element(i) * tail) for i in range(A.dim))
+    s_pow = lru_cache(maxsize=None)(lambda e, b: antipode_power(A.basis_element(b), e).terms)
 
-    # slots[i] = (lo, hi) of an unexpanded Sweedler range; state keys are
-    # (running product basis, leg basis for slot 0, slot 1, ...).
-    slots: list[tuple[int, int]] = [(1, p)]
-    state: dict[tuple[int, ...], Cyc] = {}
-    for u, cu in A.unit.items():
-        for b, cb in H.Lam.terms.items():
-            _acc(state, (u, b), cu * cb)
-
-    spow_cache: dict[tuple[int, int], Element] = {}
-
-    def s_pow(e: int, b: int) -> Element:
-        key = (e, b)
-        hit = spow_cache.get(key)
-        if hit is None:
-            hit = antipode_power(A.basis_element(b), e)
-            spow_cache[key] = hit
-        return hit
-
-    for t in range(p):
-        pos = data.legs[t]
-        si = next(i for i, (lo, hi) in enumerate(slots) if lo <= pos <= hi)
-        lo, hi = slots[si]
-        # split the range so `pos` becomes a singleton slot
-        parts = []
-        if lo < pos:
-            parts.append((lo, pos - 1))
-        parts.append((pos, pos))
+    state = SparseState(A, budget)
+    state.add_column("run", A.unit)
+    state.add_column((1, p), H.Lam.terms)
+    for pos, e in zip(data.legs, data.exponents):
+        lo, hi = next(r for r in state.labels if r != "run" and r[0] <= pos <= r[1])
         if pos < hi:
-            parts.append((pos + 1, hi))
-        for _ in range(len(parts) - 1):
-            nxt: dict[tuple[int, ...], Cyc] = {}
-            col = 1 + si  # key position of the slot being expanded
-            for key, c in state.items():
-                for (a, b), cc in A.coprod_basis(key[col]).items():
-                    _acc(nxt, key[:col] + (a, b) + key[col + 1 :], c * cc)
-            state = nxt
-            if len(state) > budget:
-                raise BudgetExceededError(
-                    f"state reached {len(state)} terms (budget {budget})"
-                )
-        slots[si : si + 1] = parts
-        # consume the singleton: running *= S^e(leg)
-        target = si + (1 if lo < pos else 0)
-        col = 1 + target
-        e = data.exponents[t]
-        nxt = {}
-        for key, c in state.items():
-            run = key[0]
-            img = s_pow(e, key[col])
-            rest = key[1:col] + key[col + 1 :]
-            for b2, c2 in img.terms.items():
-                cc = c * c2
-                for b3, c3 in A.mult_basis(run, b2).items():
-                    _acc(nxt, (b3,) + rest, cc * c3)
-        state = nxt
-        del slots[target]
-        if len(state) > budget:
-            raise BudgetExceededError(f"state reached {len(state)} terms (budget {budget})")
-
-    acc = A.zero
-    for (run,), c in state.items():
-        w = lam_tail[run]
-        if not w.is_zero():
-            acc = acc + c * w
-    return acc
+            state.expand((lo, hi), ((lo, pos), (pos + 1, hi)))
+        if lo < pos:
+            state.expand((lo, pos), ((lo, pos - 1), (pos, pos)))
+        state.absorb("run", (pos, pos), lambda b: s_pow(e, b))
+    state.contract("run", lam_tail)
+    return state.value()
 
 
 def z_kup_lens(p: int, q: int, H: RibbonHopfData, budget: int = DEFAULT_TERM_BUDGET) -> Cyc:
@@ -247,7 +189,7 @@ def z_kup_lens(p: int, q: int, H: RibbonHopfData, budget: int = DEFAULT_TERM_BUD
     """
     p, q = normalize_lens_params(p, q)
     if p == 1:
-        return Cyc.one(H.structure.l)  # L(1,0) = S^3
+        return H.structure.one  # L(1,0) = S^3
     data = lens_exponent_data(lens_indices(p, q))
     return kuperberg_eval(data, H, budget=budget)
 

@@ -186,8 +186,7 @@ def analyze(link: MorseLink) -> LinkAnalysis:
         raise MorseFormatError(f"{len(strands)} strands left open at the top")
 
     # partner of each (event, role) through the event
-    partner_role = {"L": "R", "R": "L", "bl": "ar", "ar": "bl", "br": "al", "al": "ar"}
-    partner_role["al"] = "br"
+    partner_role = {"L": "R", "R": "L", "bl": "ar", "ar": "bl", "br": "al", "al": "br"}
     ends: dict[tuple[int, str], tuple[int, str]] = {}  # (event, role) -> (edge, which end)
     for e, (ev, role) in bottom.items():
         ends[(ev, role)] = (e, "bottom")
@@ -343,12 +342,6 @@ def symmetric_signature(matrix: list[list[int]]) -> int:
                 m[i][j] -= (u * m[j0][j] + v * m[i0][j]) / a
         active = rest
     return sig
-
-
-def validate_and_walk(link: MorseLink) -> tuple[list[ComponentWalk], LinkingData]:
-    """Component decomposition plus linking/framing data of a slice word."""
-    an = analyze(link)
-    return an.walks, an.linking
 
 
 # -- small diagram constructors (used by tests and calibration) ------------------

@@ -337,19 +337,6 @@ def q_half_power(l: int, e: int) -> Cyc:
     return root_of_unity(l, e * ((l + 1) // 2))
 
 
-def field_arithmetic(a: Cyc, b: Cyc, kind: str) -> Cyc:
-    """Dispatch of the four field operations; `kind` in {add, sub, mul, div}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown operation {kind!r}")
-
-
 def conjugate(a: Cyc) -> Cyc:
     return a.conjugate()
 

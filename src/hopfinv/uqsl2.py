@@ -27,6 +27,7 @@ from hopfinv.hopf import (
     TensorElement,
     _acc,
     _prune,
+    antipode_power,
     drinfeld_map_pairwise,
     normalize_integral_pair_via,
     ribbon_derived_data,
@@ -339,19 +340,13 @@ def build_uqsl2(l: int) -> RibbonHopfData:
         alpha=alpha,
         u=u,
         G=G,
-        G_inv=antipode_power_element(G),
+        G_inv=antipode_power(G, 1),
         omega=alpha(g),
         norm_scale=scale,
     )
     if data.G_power(2) != g:
         raise NotFactorizableError("G^2 != g for the constructed ribbon data")
     return data
-
-
-def antipode_power_element(G: Element) -> Element:
-    from hopfinv.hopf import antipode_power
-
-    return antipode_power(G, 1)
 
 
 def _verify_integral_equations(A: HopfAlgebra, lam: Functional, Lam: Element) -> None:

@@ -1,5 +1,7 @@
 """Kauffman-Radford evaluation, surgery normalization, chain-mail links."""
 
+import re
+
 import pytest
 
 from hopfinv.hennings import (
@@ -9,10 +11,10 @@ from hopfinv.hennings import (
     z_henn,
     z_henn_lens_closed,
 )
-from hopfinv.kuperberg import BudgetExceededError, lens_indices
+from hopfinv.kuperberg import BudgetExceededError, lens_indices, z_kup_lens
 from hopfinv.morse import MorseLink, Slice, analyze, kinked_unknot, unknot_diagram
 from hopfinv.scalars import Cyc, conjugate, norm_squared
-from hopfinv.hopf import antipode_power, multiply
+from hopfinv.hopf import antipode_power
 
 import tests.shared as shared
 
@@ -118,9 +120,19 @@ def test_cross_path_21():
 
 
 def test_budget_error():
+    """All three engines refuse a tiny budget and report the state size they
+    reached, in the form `perfbench/ops.refused_terms` parses."""
     H = shared.data3()
-    with pytest.raises(BudgetExceededError):
-        kr_evaluate(chain_mail(2, 1), H, budget=10)
+    engines = (
+        lambda b: kr_evaluate(chain_mail(2, 1), H, budget=b),
+        lambda b: z_henn_lens_closed(5, 2, H, budget=b),
+        lambda b: z_kup_lens(5, 2, H, budget=b),
+    )
+    for call in engines:
+        with pytest.raises(BudgetExceededError) as info:
+            call(10)
+        m = re.fullmatch(r"state reached (\d+) terms \(budget 10\)", str(info.value))
+        assert m is not None and int(m.group(1)) > 10, str(info.value)
 
 
 def test_closed_form_21_value():
@@ -132,7 +144,7 @@ def test_closed_form_21_value():
     expanded = iterated_coproduct(H.Lam, 2)
     acc = A.zero
     for (b1, b2), c in expanded.terms.items():
-        prod = multiply(A.basis_element(b2), A.basis_element(b1))
+        prod = A.basis_element(b2) * A.basis_element(b1)
         acc = acc + c * H.lam(prod)
     assert z_henn_lens_closed(2, 1, H) == acc
 

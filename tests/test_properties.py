@@ -8,9 +8,6 @@ from hopfinv.hopf import (
     drinfeld_ladder_tensor,
     drinfeld_map,
     iterated_coproduct,
-    multiply,
-    trace_functional,
-    decorated_forms,
 )
 from hopfinv.scalars import Cyc
 
@@ -102,29 +99,19 @@ def test_integral_exchange_identities_all_pairs():
 
 
 def test_trace_cyclic_and_antipode_invariant():
+    """tr(x) = lambda(x G) is cyclic and S-invariant: kr_evaluate's cut
+    rotation and traversal reversal rest on these two properties."""
     H = shared.data3()
     A = H.structure
     rng = random.Random(7)
+    G = H.G_power(1)
     # tr(1 G) = lambda(G^2) = lambda(K^2) = 0
-    assert trace_functional(H, A.unit_element(), 1) == H.lam(H.g_power(1))
-    assert trace_functional(H, A.unit_element(), 1).is_zero()
+    assert H.lam(A.unit_element() * H.G_power(2)) == H.lam(H.g_power(1))
+    assert H.lam(A.unit_element() * H.G_power(2)).is_zero()
     for _ in range(6):
         x, y = rand_element(A, rng), rand_element(A, rng)
-        assert trace_functional(H, x * y) == trace_functional(H, y * x)
-        assert trace_functional(H, antipode_power(x, 1)) == trace_functional(H, x)
-
-
-def test_decorated_forms_on_uqsl2():
-    H = shared.data3()
-    A = H.structure
-    for n in (-2, -1, 0, 1, 2):
-        lam_dec, Lam_dec, tilt = decorated_forms(H, n)
-        assert Lam_dec == H.Lam  # factorizable collapse
-        if n == 0:
-            assert lam_dec.values == H.lam.values
-        for b in (0, 7, 13, 26):
-            x = A.basis_element(b)
-            assert tilt(x) == antipode_power(x, -2)
+        assert H.lam(x * y * G) == H.lam(y * x * G)
+        assert H.lam(antipode_power(x, 1) * G) == H.lam(x * G)
 
 
 def test_cointegral_legs_factorization():
@@ -136,10 +123,7 @@ def test_cointegral_legs_factorization():
         ladder = drinfeld_ladder_tensor(A, H.R, n)
         rhs = ladder.contract_functional(0, H.lam)
         lhs = iterated_coproduct(H.Lam, n).scale(H.norm_scale)
-        if n == 2:
-            assert rhs == lhs
-        else:
-            assert rhs == lhs
+        assert rhs == lhs
 
 
 def test_half_turn_convention_squared():
